@@ -119,12 +119,8 @@ ExpectationPlan::termExpectations(const Statevector &state,
         throw std::invalid_argument(
             "ExpectationPlan::termExpectations: width mismatch");
 
-    const auto &ampVec = state.amplitudes();
-    // The group sweeps only load through the span (AmpSpan is a view
-    // type without a const variant).
-    const AmpSpan amps = AmpSpan::interleaved(
-        const_cast<Complex *>(ampVec.data()), ampVec.size());
-    const std::size_t dim = ampVec.size();
+    const std::vector<Complex> &amps = state.amplitudes();
+    const std::size_t dim = amps.size();
     const bool simd = simdEnabled();
     const std::size_t n = coefficients_.size();
 

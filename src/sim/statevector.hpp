@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/amp_span.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "sim/compiled_circuit.hpp"
@@ -115,21 +114,6 @@ class Statevector
     void checkQubit(int q) const;
     /** Drop caches that depend on the amplitudes (the sampling CDF). */
     void invalidateCache() { cdfValid_ = false; }
-
-    /** Mutable view of the amplitudes for the kernel layer. */
-    AmpSpan span();
-    /** Read-only-use view for the reduction kernels (const methods). */
-    AmpSpan cspan() const;
-
-    // Fused kernels for the compiled op stream. Matrices are row-major
-    // raw pointers into a compiled circuit's const/bind pool. These
-    // forward to sim/kernels.hpp (SIMD dispatch + blocked parallelism).
-    void applyDense1(int q, const Complex *m);
-    void applyDense2(int qm, int ql, const Complex *m);
-    void applyDiag(std::uint64_t mask, const Complex *table);
-    void applyPermX(int q);
-    void applyPermCX(int qc, int qt);
-    void applyPermSwap(int qa, int qb);
 
     int numQubits_;
     std::vector<Complex> amps_;

@@ -147,9 +147,8 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
     ThresholdGuard threshold_guard;
     Rng rng(31337);
 
-    for (int n = 2; n <= 10; ++n) {
-        const Statevector st = randomState(n, rng);
-        const PauliSum h = collidingSum(n, 24, rng);
+    const auto expectBitIdentical = [](const Statevector &st,
+                                       const PauliSum &h) {
         // Threshold 1 forces the 16-block partition even on tiny
         // states; 0 restores the default serial-below-1024 behavior.
         for (std::size_t threshold : {std::size_t{0}, std::size_t{1}}) {
@@ -159,12 +158,33 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
                 const double legacy = legacyEval(st, h);
                 const double fast = batchedEval(st, h);
                 EXPECT_EQ(bits(legacy), bits(fast))
-                    << "n=" << n << " threshold=" << threshold
-                    << " simd=" << simd << " legacy=" << legacy
-                    << " batched=" << fast;
+                    << "n=" << st.numQubits() << " terms=" << h.numTerms()
+                    << " threshold=" << threshold << " simd=" << simd
+                    << " legacy=" << legacy << " batched=" << fast;
             }
         }
+    };
+
+    for (int n = 2; n <= 10; ++n) {
+        const Statevector st = randomState(n, rng);
+        const PauliSum h = collidingSum(n, 24, rng);
+        expectBitIdentical(st, h);
     }
+
+    // Every non-identity Z string on 7 qubits: 127 terms in the xmask-0
+    // group, so kern::pauliGroupSums walks four kPauliGroupSlab slabs.
+    const int n = 7;
+    const Statevector st = randomState(n, rng);
+    PauliSum zs(n);
+    for (std::uint64_t zmask = 1; zmask < (std::uint64_t{1} << n); ++zmask) {
+        std::string label(static_cast<std::size_t>(n), 'I');
+        for (int q = 0; q < n; ++q)
+            if ((zmask >> q) & 1)
+                label[static_cast<std::size_t>(q)] = 'Z';
+        zs.add(rng.normal(), label);
+    }
+    ASSERT_EQ(zs.numTerms(), std::size_t{127});
+    expectBitIdentical(st, zs);
 }
 
 TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
