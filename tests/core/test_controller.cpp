@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/controller.hpp"
 
@@ -44,6 +45,15 @@ struct Fig9Case
     double ePrev, eRerun, eCurr;
     bool accept;
 };
+
+// Print the scenario by name. Without this gtest prints the struct's
+// raw bytes (including the `name` pointer), so the discovered ctest
+// names would change from build to build.
+void
+PrintTo(const Fig9Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class Fig9Test : public ::testing::TestWithParam<Fig9Case>
 {
