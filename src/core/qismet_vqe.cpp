@@ -20,10 +20,10 @@ runConfigDigest(const QismetVqeConfig &config, int num_params)
     enc.writeU64(config.totalJobs);
     enc.writeU64(config.seed);
     enc.writeI64(config.traceVersion);
-    // estimator.compileCircuits and estimator.planCache/planCacheTenant
-    // are deliberately not encoded: compiled circuits and expectation
-    // plans are pure accelerations, bit-identical to their fallbacks,
-    // so they cannot change the trajectory the digest certifies.
+    // estimator.planCache/planCacheTenant are deliberately not
+    // encoded: a plan is a pure function of its Hamiltonian, so a
+    // cache hit is bit-identical to a private compile and cannot
+    // change the trajectory the digest certifies.
     enc.writeU32(static_cast<std::uint32_t>(config.estimator.mode));
     enc.writeU64(config.estimator.shots);
     enc.writeBool(config.estimator.mitigateMeasurement);

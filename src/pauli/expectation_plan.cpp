@@ -1,8 +1,6 @@
 #include "pauli/expectation_plan.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -11,29 +9,6 @@
 #include "common/thread_pool.hpp"
 
 namespace qismet {
-
-namespace {
-
-std::atomic<int> g_batchedOverride{-1};
-
-} // namespace
-
-bool
-batchedExpectationEnabled()
-{
-    const int override_ = g_batchedOverride.load(std::memory_order_relaxed);
-    if (override_ >= 0)
-        return override_ != 0;
-    static const bool envDisabled =
-        std::getenv("QISMET_NO_BATCHED_EXPECT") != nullptr;
-    return !envDisabled;
-}
-
-void
-setBatchedExpectationEnabled(bool on)
-{
-    g_batchedOverride.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
     : numQubits_(hamiltonian.numQubits()),

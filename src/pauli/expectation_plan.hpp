@@ -3,8 +3,8 @@
  * Compiled expectation plans: the batched single-sweep Pauli-sum
  * evaluator and its cross-iteration cache.
  *
- * The legacy path walks the full 2^n amplitude array once **per term**
- * of a PauliSum. A plan compiles the sum once — grouping terms by
+ * The per-string expectation() walks the full 2^n amplitude array
+ * once **per term** of a PauliSum. A plan compiles the sum once — grouping terms by
  * shared xmask and pre-folding each term's constant ±i^nY phase into a
  * two-entry table — and then evaluates with one sweep **per group**,
  * accumulating every term of the group from the same
@@ -15,15 +15,13 @@
  * every estimate.
  *
  * Determinism contract (DESIGN.md §16): plan evaluation is
- * bit-identical to the legacy term-by-term path — same per-amplitude
- * complex-multiply op sequence, same ascending-i per-term accumulation,
+ * bit-identical to Σ_t c_t·expectation(state, P_t) over the
+ * per-string overloads — same per-amplitude complex-multiply op
+ * sequence, same ascending-i per-term accumulation,
  * the same fixed 16-block partition and serial block fold above the
  * intra-state parallel threshold, and a final coefficient fold in
  * original term order. A plan is a pure function of its PauliSum, so
- * cache hits and misses are indistinguishable in every output bit. The
- * legacy path stays available behind QISMET_NO_BATCHED_EXPECT /
- * setBatchedExpectationEnabled(false), mirroring the fusion escape
- * hatch.
+ * cache hits and misses are indistinguishable in every output bit.
  */
 
 #ifndef QISMET_PAULI_EXPECTATION_PLAN_HPP
@@ -44,18 +42,6 @@
 #include "sim/statevector.hpp"
 
 namespace qismet {
-
-/**
- * The batched-evaluator dispatch switch, consulted at call time by the
- * expectation() entry points and EnergyEstimator: disabled by the
- * QISMET_NO_BATCHED_EXPECT environment variable (read once) or by
- * setBatchedExpectationEnabled(false). Mirrors fusionEnabled().
- */
-bool batchedExpectationEnabled();
-
-/** Programmatic override of the batched-expectation switch (tests,
-    A/B benches); wins over the environment. */
-void setBatchedExpectationEnabled(bool on);
 
 /** Compiled form of one PauliSum, reusable across iterations. */
 class ExpectationPlan
@@ -107,8 +93,9 @@ class ExpectationPlan
 
     /**
      * Per-term <P_t> sums into out[numTerms()], bit-identical to the
-     * legacy expectation(state, terms[t].pauli) for every t (identity
-     * terms included — their sweep reproduces the legacy norm² walk).
+     * per-string expectation(state, terms[t].pauli) for every t
+     * (identity terms included — their sweep reproduces its norm²
+     * walk).
      * @throws std::invalid_argument on a width mismatch.
      */
     void termExpectations(const Statevector &state, double *out) const;
@@ -116,7 +103,7 @@ class ExpectationPlan
     /** Tr(ρ P_t) per term; serial sweep, one pass per group. */
     void termExpectations(const DensityMatrix &rho, double *out) const;
 
-    /** Σ_t c_t <P_t>, folded in original term order (== legacy sum). */
+    /** Σ_t c_t <P_t>, folded in original term order (== the per-term sum). */
     double evaluate(const Statevector &state) const;
     double evaluate(const DensityMatrix &rho) const;
 

@@ -111,20 +111,6 @@ BackendPool::anyLeasable(std::uint64_t now) const
     return false;
 }
 
-BackendLease
-BackendPool::acquire()
-{
-    for (std::size_t id = 0; id < backends_.size(); ++id) {
-        Backend &b = backends_[id];
-        if (b.leased)
-            continue;
-        b.leased = true;
-        ++b.epoch;
-        return BackendLease{id, b.epoch};
-    }
-    throw std::runtime_error("BackendPool::acquire: pool exhausted");
-}
-
 std::optional<BackendLease>
 BackendPool::acquireHealthAware(
     std::uint64_t now, std::vector<HealthTransition> &transitions)
@@ -186,15 +172,6 @@ BackendPool::validateRelease(const BackendLease &lease)
             std::to_string(lease.backendId) + " (current " +
             std::to_string(b.epoch) + ")");
     return b;
-}
-
-void
-BackendPool::release(const BackendLease &lease)
-{
-    // Legacy health-blind form: a nominal-latency success at tick 0,
-    // transitions discarded — direct pool users exercise the same
-    // hysteresis arithmetic as the scheduler.
-    releaseSuccess(lease, 1.0, 0);
 }
 
 std::vector<HealthTransition>

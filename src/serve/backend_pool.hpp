@@ -5,8 +5,8 @@
  * model and circuit breaker (DESIGN.md §15).
  *
  * Isolation invariants (tests/serve/test_backend_pool.cpp):
- *  - a backend is leased to at most one run at a time; double-acquire
- *    of an exhausted pool and double-release both throw;
+ *  - a backend is leased to at most one run at a time; acquiring from
+ *    an exhausted pool yields no lease, and double-release throws;
  *  - every lease carries the backend's monotonically increasing epoch,
  *    so a stale lease (released, re-acquired by someone else) can never
  *    release the backend out from under its new holder;
@@ -169,13 +169,6 @@ class BackendPool
     bool anyLeasable(std::uint64_t now) const;
 
     /**
-     * Lease the lowest-id free backend (deterministic selection,
-     * health-blind — the pre-health API, kept for direct pool use).
-     * @throws std::runtime_error when the pool is exhausted.
-     */
-    BackendLease acquire();
-
-    /**
      * Health-aware lease at tick `now`: prefers Healthy over Degraded
      * backends (lowest id within a rank); a quarantined backend whose
      * cooldown has elapsed is chosen last, as the breaker's half-open
@@ -187,18 +180,12 @@ class BackendPool
                        std::vector<HealthTransition> &transitions);
 
     /**
-     * Return a leased backend and advance its calibration stream
-     * (success path, health-blind legacy form: latency 1, tick 0).
-     * @throws std::invalid_argument on an unknown id, a stale epoch, or
-     *         a backend that is not currently leased (double release).
-     */
-    void release(const BackendLease &lease);
-
-    /**
      * Success release with a health observation: advances the
      * calibration stream, feeds `latency_factor` (1.0 = nominal) into
      * the latency EWMA, closes a half-open breaker, and applies the
      * recovery hysteresis. Returns the transitions (possibly empty).
+     * @throws std::invalid_argument on an unknown id, a stale epoch, or
+     *         a backend that is not currently leased (double release).
      */
     std::vector<HealthTransition>
     releaseSuccess(const BackendLease &lease, double latency_factor,

@@ -54,9 +54,9 @@ class DensityMatrix
     void applyChannel2q(int q1, int q0, const KrausChannel &channel);
 
     /**
-     * Run a noiseless circuit. With fusion enabled (fusionEnabled())
-     * the circuit is compiled and executed through the fused kernels;
-     * otherwise the original gate-by-gate path runs bit-for-bit.
+     * Run a noiseless circuit. At and above kAutoCompileAmplitudes
+     * elements (dim²) the circuit is compiled and executed through the
+     * fused kernels; below it the gates apply one by one (applyGate).
      */
     void run(const Circuit &circuit, const std::vector<double> &params = {});
 

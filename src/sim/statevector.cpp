@@ -152,7 +152,7 @@ Statevector::run(const Circuit &circuit, const std::vector<double> &params)
     // touches enough amplitudes; below that the legacy loop wins.
     // Callers that rerun a circuit should hold a CompiledCircuit (the
     // energy estimator does), which always uses the fused kernels.
-    if (fusionEnabled() && amps_.size() >= kAutoCompileAmplitudes) {
+    if (amps_.size() >= kAutoCompileAmplitudes) {
         run(CompiledCircuit(circuit), params);
         return;
     }

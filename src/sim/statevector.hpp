@@ -52,10 +52,9 @@ class Statevector
     void apply2q(int q1, int q0, const Matrix &u);
 
     /**
-     * Run a whole circuit. With fusion enabled (the default, see
-     * fusionEnabled()) the circuit is compiled and executed through the
-     * fused kernels; otherwise the original gate-by-gate path runs
-     * bit-for-bit.
+     * Run a whole circuit. At and above kAutoCompileAmplitudes
+     * amplitudes the circuit is compiled and executed through the fused
+     * kernels; below it the gates apply one by one (applyGate).
      */
     void run(const Circuit &circuit, const std::vector<double> &params = {});
 

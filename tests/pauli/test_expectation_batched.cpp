@@ -1,16 +1,20 @@
 /**
  * @file
  * Differential battery for the batched single-sweep expectation
- * engine: batched vs legacy term-by-term must agree **bit for bit**
- * (DESIGN.md §16) — on random states and sums with forced xmask
- * collisions, with SIMD on and off, serial and blocked, at 1/2/4/8
- * threads, for Statevector and DensityMatrix, through the
- * EnergyEstimator paths, and on cache hits vs misses.
+ * engine: it must agree **bit for bit** (DESIGN.md §16) with a
+ * term-by-term oracle built here from the per-string expectation()
+ * overloads — on random states and sums with forced xmask collisions,
+ * with SIMD on and off, serial and blocked, at 1/2/4/8 threads, for
+ * Statevector and DensityMatrix, through the EnergyEstimator paths
+ * (against test-side re-derivations of each estimator mode), and on
+ * cache hits vs misses.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,24 +25,17 @@
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "hamiltonian/tfim.hpp"
+#include "mitigation/measurement_mitigation.hpp"
 #include "noise/machine_model.hpp"
 #include "pauli/expectation.hpp"
 #include "pauli/expectation_plan.hpp"
+#include "pauli/grouping.hpp"
+#include "sim/compiled_circuit.hpp"
+#include "sim/shot_sampler.hpp"
 #include "vqe/energy_estimator.hpp"
 
 namespace qismet {
 namespace {
-
-/** Restore the batched-engine switch on scope exit. */
-class BatchedGuard
-{
-  public:
-    BatchedGuard() : saved_(batchedExpectationEnabled()) {}
-    ~BatchedGuard() { setBatchedExpectationEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
 
 /** Restore the effective SIMD switch on scope exit. */
 class SimdGuard
@@ -126,23 +123,23 @@ collidingSum(int num_qubits, int num_terms, Rng &rng)
     return h;
 }
 
+/**
+ * The term-by-term oracle: Σ_t c_t·<P_t>, one per-string expectation()
+ * walk per term, folded in term order (works for Statevector and
+ * DensityMatrix alike).
+ */
+template <class State>
 double
-legacyEval(const Statevector &st, const PauliSum &h)
+legacyEval(const State &st, const PauliSum &h)
 {
-    setBatchedExpectationEnabled(false);
-    return expectation(st, h);
-}
-
-double
-batchedEval(const Statevector &st, const PauliSum &h)
-{
-    setBatchedExpectationEnabled(true);
-    return expectation(st, h);
+    double e = 0.0;
+    for (const auto &t : h.terms())
+        e += t.coefficient * expectation(st, t.pauli);
+    return e;
 }
 
 TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     Rng rng(31337);
@@ -156,7 +153,7 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
             for (bool simd : {false, true}) {
                 setSimdEnabled(simd);
                 const double legacy = legacyEval(st, h);
-                const double fast = batchedEval(st, h);
+                const double fast = expectation(st, h);
                 EXPECT_EQ(bits(legacy), bits(fast))
                     << "n=" << st.numQubits() << " terms=" << h.numTerms()
                     << " threshold=" << threshold << " simd=" << simd
@@ -189,7 +186,6 @@ TEST(BatchedExpectation, BitIdenticalAcrossSimdAndPartitioning)
 
 TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     GlobalThreadsGuard threads_guard;
@@ -198,7 +194,6 @@ TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
     const Statevector st = randomState(9, rng);
     const PauliSum h = collidingSum(9, 30, rng);
     setIntraStateParallelThreshold(1); // force the blocked partition
-    setBatchedExpectationEnabled(true);
 
     for (bool simd : {false, true}) {
         setSimdEnabled(simd);
@@ -215,15 +210,12 @@ TEST(BatchedExpectation, BitIdenticalAcrossThreadCounts)
 
 TEST(BatchedExpectation, DensityMatrixBitIdentical)
 {
-    BatchedGuard batched_guard;
     Rng rng(555);
     for (int n = 2; n <= 6; ++n) {
         const Statevector psi = randomState(n, rng);
         const DensityMatrix rho(psi);
         const PauliSum h = collidingSum(n, 20, rng);
-        setBatchedExpectationEnabled(false);
-        const double legacy = expectation(rho, h);
-        setBatchedExpectationEnabled(true);
+        const double legacy = legacyEval(rho, h);
         const double fast = expectation(rho, h);
         EXPECT_EQ(bits(legacy), bits(fast)) << "n=" << n;
     }
@@ -231,7 +223,6 @@ TEST(BatchedExpectation, DensityMatrixBitIdentical)
 
 TEST(BatchedExpectation, PlanTermExpectationsMatchPerStringLegacy)
 {
-    BatchedGuard batched_guard;
     SimdGuard simd_guard;
     ThresholdGuard threshold_guard;
     Rng rng(4711);
@@ -259,7 +250,6 @@ TEST(BatchedExpectation, PlanTermExpectationsMatchPerStringLegacy)
 
 TEST(BatchedExpectation, CacheHitBitIdenticalToMiss)
 {
-    BatchedGuard batched_guard;
     Rng rng(808);
     const Statevector st = randomState(7, rng);
     const PauliSum h = collidingSum(7, 22, rng);
@@ -275,10 +265,23 @@ TEST(BatchedExpectation, CacheHitBitIdenticalToMiss)
     EXPECT_EQ(bits(from_miss), bits(ExpectationPlan(h).evaluate(st)));
 }
 
+TEST(BatchedExpectation, EmptySumIsExactlyZero)
+{
+    // No terms means no sweep: both overloads must return +0.0 exactly,
+    // not a fold of anything.
+    Rng rng(2718);
+    for (int n = 1; n <= 4; ++n) {
+        const Statevector st = randomState(n, rng);
+        const DensityMatrix rho(st);
+        const PauliSum empty(n);
+        ASSERT_EQ(empty.numTerms(), 0u);
+        EXPECT_EQ(bits(expectation(st, empty)), bits(0.0)) << "n=" << n;
+        EXPECT_EQ(bits(expectation(rho, empty)), bits(0.0)) << "n=" << n;
+    }
+}
+
 TEST(BatchedExpectation, WidthMismatchStillThrows)
 {
-    BatchedGuard batched_guard;
-    setBatchedExpectationEnabled(true);
     PauliSum h(3);
     h.add(1.0, "ZZZ");
     Statevector st(2);
@@ -311,32 +314,139 @@ struct EstimatorFixture
     }
 };
 
+/**
+ * The estimator's per-estimate pipeline re-derived from public pieces:
+ * the ansatz run through its own CompiledCircuit, the term-by-term
+ * oracle, staticSurvival(), transientSensitivity(), the same shot
+ * rounding rule and the caller's Rng. Nothing here reads the
+ * estimator's plan.
+ */
+struct EstimatorReference
+{
+    const EnergyEstimator &est;
+    const StaticNoiseModel &noise;
+
+    int width() const { return est.ansatzCircuit().numQubits(); }
+
+    Statevector prepare(const std::vector<double> &theta) const
+    {
+        Statevector st(width());
+        st.run(CompiledCircuit(est.ansatzCircuit()), theta);
+        return st;
+    }
+
+    double survival(double tau, const Statevector &st) const
+    {
+        return std::clamp(
+            est.staticSurvival() *
+                (1.0 - tau * EnergyEstimator::transientSensitivity(st)),
+            0.0, 1.0);
+    }
+
+    std::size_t shots(double shot_fraction) const
+    {
+        const double scaled = std::round(
+            shot_fraction * static_cast<double>(est.config().shots));
+        return std::max<std::size_t>(1, static_cast<std::size_t>(scaled));
+    }
+
+    double ideal(const std::vector<double> &theta) const
+    {
+        return legacyEval(prepare(theta), est.hamiltonian());
+    }
+
+    double analytic(const std::vector<double> &theta, double tau, Rng &rng,
+                    double shot_fraction) const
+    {
+        const Statevector st = prepare(theta);
+        const double f = survival(tau, st);
+        const double n_shots = static_cast<double>(shots(shot_fraction));
+        double e = est.mixedEnergy();
+        double var = 0.0;
+        for (const auto &t : est.hamiltonian().terms()) {
+            if (t.pauli.isIdentity())
+                continue;
+            const double p = f * expectation(st, t.pauli);
+            e += t.coefficient * p;
+            var += t.coefficient * t.coefficient * (1.0 - p * p) / n_shots;
+        }
+        return e + rng.normal(0.0, std::sqrt(var));
+    }
+
+    /** Sampling mode with tensored mitigation, term masks read from
+        the Hamiltonian's own term list. */
+    double sampling(const std::vector<double> &theta, double tau, Rng &rng,
+                    double shot_fraction) const
+    {
+        const int n = width();
+        const std::size_t dim = std::size_t{1} << n;
+        const double uniform = 1.0 / static_cast<double>(dim);
+        const Statevector prepared = prepare(theta);
+        const double f = survival(tau, prepared);
+        const ShotSampler sampler(noise.readoutErrors(n));
+        const MeasurementMitigator mitigator(n, noise.readoutErrors(n));
+        const auto &terms = est.hamiltonian().terms();
+        const std::vector<MeasurementGroup> groups =
+            groupQubitWise(est.hamiltonian());
+
+        std::vector<Rng> group_rngs;
+        for (std::size_t gi = 0; gi < groups.size(); ++gi)
+            group_rngs.push_back(rng.split());
+
+        double e = est.mixedEnergy();
+        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+            Statevector st = prepared;
+            st.run(CompiledCircuit(basisChangeCircuit(groups[gi], n)));
+            std::vector<double> probs = st.probabilities();
+            for (auto &p : probs)
+                p = f * p + (1.0 - f) * uniform;
+            const Counts counts = sampler.sample(
+                probs, n, shots(shot_fraction), group_rngs[gi]);
+            const std::vector<double> est_probs =
+                MeasurementMitigator::clipToPhysical(
+                    mitigator.mitigateCounts(counts));
+            double e_group = 0.0;
+            for (std::size_t ti : groups[gi].termIndices) {
+                const std::uint64_t mask = terms[ti].pauli.supportMask();
+                double parity_avg = 0.0;
+                for (std::size_t b = 0; b < dim; ++b) {
+                    const int parity = std::popcount(b & mask) & 1;
+                    parity_avg += (parity ? -1.0 : 1.0) * est_probs[b];
+                }
+                e_group += terms[ti].coefficient * parity_avg;
+            }
+            e += e_group;
+        }
+        return e;
+    }
+};
+
 TEST(BatchedExpectation, EstimatorIdealAndAnalyticBitIdentical)
 {
-    BatchedGuard batched_guard;
     EstimatorFixture f;
     EstimatorConfig cfg;
     cfg.mode = EstimatorMode::Analytic;
     const EnergyEstimator est(f.hamiltonian, f.ansatz, f.noise, cfg);
+    const EstimatorReference ref{est, f.noise};
     const auto theta = f.theta();
 
-    setBatchedExpectationEnabled(false);
-    const double ideal_legacy = est.idealEnergy(theta);
-    Rng rng_a(42);
-    const double analytic_legacy = est.estimate(theta, 0.3, rng_a);
-
-    setBatchedExpectationEnabled(true);
-    const double ideal_fast = est.idealEnergy(theta);
-    Rng rng_b(42);
-    const double analytic_fast = est.estimate(theta, 0.3, rng_b);
-
-    EXPECT_EQ(bits(ideal_legacy), bits(ideal_fast));
-    EXPECT_EQ(bits(analytic_legacy), bits(analytic_fast));
+    EXPECT_EQ(bits(ref.ideal(theta)), bits(est.idealEnergy(theta)));
+    for (double tau : {0.0, 0.3}) {
+        for (double shot_fraction : {1.0, 0.37}) {
+            Rng rng_ref(42);
+            const double want =
+                ref.analytic(theta, tau, rng_ref, shot_fraction);
+            Rng rng_est(42);
+            const double got =
+                est.estimate(theta, tau, rng_est, shot_fraction);
+            EXPECT_EQ(bits(want), bits(got))
+                << "tau=" << tau << " shot_fraction=" << shot_fraction;
+        }
+    }
 }
 
 TEST(BatchedExpectation, EstimatorSamplingBitIdentical)
 {
-    BatchedGuard batched_guard;
     EstimatorFixture f;
     EstimatorConfig cfg;
     cfg.mode = EstimatorMode::Sampling;
@@ -344,13 +454,33 @@ TEST(BatchedExpectation, EstimatorSamplingBitIdentical)
     const EnergyEstimator est(f.hamiltonian, f.ansatz, f.noise, cfg);
     const auto theta = f.theta();
 
-    setBatchedExpectationEnabled(false);
-    Rng rng_a(7);
-    const double legacy = est.estimate(theta, 0.2, rng_a);
-    setBatchedExpectationEnabled(true);
-    Rng rng_b(7);
-    const double fast = est.estimate(theta, 0.2, rng_b);
-    EXPECT_EQ(bits(legacy), bits(fast));
+    // The plan's flat per-group sampling tables are the term list's
+    // support masks and coefficients, group by group, in order.
+    const auto plan = est.plan();
+    const auto &terms = est.hamiltonian().terms();
+    ASSERT_EQ(est.numGroups(), plan->measurementGroups().size());
+    for (std::size_t g = 0; g < est.numGroups(); ++g) {
+        const auto &members = plan->measurementGroups()[g].termIndices;
+        ASSERT_EQ(plan->samplingMasks(g).size(), members.size());
+        ASSERT_EQ(plan->samplingCoefficients(g).size(), members.size());
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            EXPECT_EQ(plan->samplingMasks(g)[k],
+                      terms[members[k]].pauli.supportMask())
+                << "group " << g << " member " << k;
+            EXPECT_EQ(bits(plan->samplingCoefficients(g)[k]),
+                      bits(terms[members[k]].coefficient))
+                << "group " << g << " member " << k;
+        }
+    }
+
+    const EstimatorReference ref{est, f.noise};
+    Rng rng_ref(7);
+    const double want = ref.sampling(theta, 0.2, rng_ref, 1.0);
+    Rng rng_est(7);
+    const double got = est.estimate(theta, 0.2, rng_est);
+    EXPECT_EQ(bits(want), bits(got));
+    // The group sub-streams are split from the caller's stream in both.
+    EXPECT_EQ(bits(rng_ref.uniform()), bits(rng_est.uniform()));
 }
 
 TEST(BatchedExpectation, EstimatorsSharingACacheShareThePlan)

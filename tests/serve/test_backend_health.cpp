@@ -288,17 +288,25 @@ TEST(BackendHealthModel, FaultedLeaseDoesNotAdvanceCalibration)
     EXPECT_NE(pool.calibrationDigest(0), before);
 }
 
-TEST(BackendHealthModel, LegacyReleaseKeepsHysteresisArithmetic)
+TEST(BackendHealthModel, FaultDegradedBackendRecoversAfterCleanSuccesses)
 {
-    // Direct pool users (pre-health API) still feed the same success
-    // hysteresis: release() == releaseSuccess(latency 1, tick 0).
+    // A fault streak short of quarantine degrades without tripping the
+    // breaker; recoverAfterSuccesses clean successes earn Healthy back,
+    // and not one fewer.
     BackendPool pool = fleet(1);
     std::uint64_t tick = 0;
     for (int i = 0; i < 2; ++i)
         faultOnce(pool, tick);
     ASSERT_EQ(pool.health(0), BackendHealth::Degraded);
-    for (int i = 0; i < pool.policy().recoverAfterSuccesses; ++i)
-        pool.release(pool.acquire());
+    ASSERT_EQ(pool.breaker(0), BreakerState::Closed);
+    const int need = pool.policy().recoverAfterSuccesses;
+    for (int i = 0; i < need; ++i) {
+        EXPECT_EQ(pool.health(0), BackendHealth::Degraded) << "success " << i;
+        std::vector<HealthTransition> t;
+        auto lease = pool.acquireHealthAware(tick, t);
+        ASSERT_TRUE(lease.has_value());
+        pool.releaseSuccess(*lease, 1.0, ++tick);
+    }
     EXPECT_EQ(pool.health(0), BackendHealth::Healthy);
 }
 

@@ -9,6 +9,21 @@
 namespace qismet {
 namespace {
 
+/** Lease at tick 0; on a healthy fleet that is the lowest free id. */
+BackendLease
+acquire(BackendPool &pool)
+{
+    std::vector<HealthTransition> transitions;
+    return pool.acquireHealthAware(0, transitions).value();
+}
+
+/** Nominal-latency success release at tick 0. */
+void
+release(BackendPool &pool, const BackendLease &lease)
+{
+    pool.releaseSuccess(lease, 1.0, 0);
+}
+
 TEST(BackendPool, ConstructionValidates)
 {
     EXPECT_THROW(BackendPool({}, 1), std::invalid_argument);
@@ -23,45 +38,47 @@ TEST(BackendPool, ConstructionValidates)
 TEST(BackendPool, AcquiresLowestIdFreeBackend)
 {
     BackendPool pool({"guadalupe", "guadalupe", "guadalupe"}, 1);
-    const BackendLease a = pool.acquire();
-    const BackendLease b = pool.acquire();
+    const BackendLease a = acquire(pool);
+    const BackendLease b = acquire(pool);
     EXPECT_EQ(a.backendId, 0u);
     EXPECT_EQ(b.backendId, 1u);
-    pool.release(a);
+    release(pool, a);
     // 0 freed: the next acquire goes back to the lowest id.
-    EXPECT_EQ(pool.acquire().backendId, 0u);
-    EXPECT_EQ(pool.acquire().backendId, 2u);
+    EXPECT_EQ(acquire(pool).backendId, 0u);
+    EXPECT_EQ(acquire(pool).backendId, 2u);
 }
 
-TEST(BackendPool, ExhaustedPoolThrows)
+TEST(BackendPool, ExhaustedPoolYieldsNoLease)
 {
     BackendPool pool({"guadalupe"}, 1);
-    const BackendLease lease = pool.acquire();
+    const BackendLease lease = acquire(pool);
     EXPECT_FALSE(pool.anyFree());
-    EXPECT_THROW(pool.acquire(), std::runtime_error);
-    pool.release(lease);
+    std::vector<HealthTransition> transitions;
+    EXPECT_FALSE(pool.acquireHealthAware(0, transitions).has_value());
+    EXPECT_TRUE(transitions.empty());
+    release(pool, lease);
     EXPECT_TRUE(pool.anyFree());
 }
 
 TEST(BackendPool, DoubleReleaseThrows)
 {
     BackendPool pool({"guadalupe"}, 1);
-    const BackendLease lease = pool.acquire();
-    pool.release(lease);
-    EXPECT_THROW(pool.release(lease), std::invalid_argument);
+    const BackendLease lease = acquire(pool);
+    release(pool, lease);
+    EXPECT_THROW(release(pool, lease), std::invalid_argument);
 }
 
 TEST(BackendPool, StaleEpochCannotRelease)
 {
     BackendPool pool({"guadalupe"}, 1);
-    const BackendLease first = pool.acquire();
-    pool.release(first);
-    const BackendLease second = pool.acquire();
+    const BackendLease first = acquire(pool);
+    release(pool, first);
+    const BackendLease second = acquire(pool);
     EXPECT_NE(first.epoch, second.epoch);
     // The old lease must not be able to yank the backend from its new
     // holder.
-    EXPECT_THROW(pool.release(first), std::invalid_argument);
-    pool.release(second);
+    EXPECT_THROW(release(pool, first), std::invalid_argument);
+    release(pool, second);
 }
 
 TEST(BackendPool, UnknownIdThrows)
@@ -69,7 +86,7 @@ TEST(BackendPool, UnknownIdThrows)
     BackendPool pool({"guadalupe"}, 1);
     BackendLease bogus;
     bogus.backendId = 99;
-    EXPECT_THROW(pool.release(bogus), std::invalid_argument);
+    EXPECT_THROW(release(pool, bogus), std::invalid_argument);
     EXPECT_THROW(pool.machine(99), std::invalid_argument);
 }
 
@@ -78,10 +95,10 @@ TEST(BackendPool, EpochsIncreaseMonotonically)
     BackendPool pool({"guadalupe"}, 7);
     std::uint64_t last = 0;
     for (int i = 0; i < 5; ++i) {
-        const BackendLease lease = pool.acquire();
+        const BackendLease lease = acquire(pool);
         EXPECT_GT(lease.epoch, last);
         last = lease.epoch;
-        pool.release(lease);
+        release(pool, lease);
     }
     EXPECT_EQ(pool.leasesCompleted(0), 5u);
 }
@@ -95,14 +112,14 @@ TEST(BackendPool, CalibrationStreamsAreIsolatedPerMachine)
     BackendPool b({"guadalupe", "toronto"}, 42);
 
     for (int i = 0; i < 3; ++i) {
-        const BackendLease lease = a.acquire(); // always backend 0
-        a.release(lease);
+        const BackendLease lease = acquire(a); // always backend 0
+        release(a, lease);
     }
     for (int i = 0; i < 3; ++i) {
-        const BackendLease l0 = b.acquire();
-        const BackendLease l1 = b.acquire();
-        b.release(l0);
-        b.release(l1);
+        const BackendLease l0 = acquire(b);
+        const BackendLease l1 = acquire(b);
+        release(b, l0);
+        release(b, l1);
     }
 
     EXPECT_EQ(a.calibrationDigest(0), b.calibrationDigest(0));
@@ -116,10 +133,10 @@ TEST(BackendPool, IdenticalMachinesStillHaveDistinctStreams)
     // A fleet of identical machines: same model, but per-backend stream
     // roots must differ (keyed by backend id, not machine name).
     BackendPool pool({"guadalupe", "guadalupe"}, 42);
-    const BackendLease l0 = pool.acquire();
-    const BackendLease l1 = pool.acquire();
-    pool.release(l0);
-    pool.release(l1);
+    const BackendLease l0 = acquire(pool);
+    const BackendLease l1 = acquire(pool);
+    release(pool, l0);
+    release(pool, l1);
     EXPECT_NE(pool.calibrationDigest(0), pool.calibrationDigest(1));
 }
 
@@ -128,10 +145,10 @@ TEST(BackendPool, EqualHistoriesGiveEqualDigests)
     BackendPool a({"sydney"}, 9);
     BackendPool b({"sydney"}, 9);
     for (int i = 0; i < 4; ++i) {
-        const BackendLease la = a.acquire();
-        a.release(la);
-        const BackendLease lb = b.acquire();
-        b.release(lb);
+        const BackendLease la = acquire(a);
+        release(a, la);
+        const BackendLease lb = acquire(b);
+        release(b, lb);
     }
     EXPECT_EQ(a.calibrationDigest(0), b.calibrationDigest(0));
     EXPECT_NE(a.calibrationDigest(0), 0u);
@@ -147,20 +164,20 @@ TEST(BackendPool, NoDoubleLeaseUnderChurn)
     // repeat — held ids must stay unique throughout.
     for (int round = 0; round < 6; ++round) {
         while (pool.anyFree()) {
-            const BackendLease lease = pool.acquire();
+            const BackendLease lease = acquire(pool);
             EXPECT_TRUE(heldIds.insert(lease.backendId).second)
                 << "backend " << lease.backendId << " double-leased";
             held.push_back(lease);
         }
         const std::size_t releaseCount = held.size() / 2;
         for (std::size_t i = 0; i < releaseCount; ++i) {
-            pool.release(held.back());
+            release(pool, held.back());
             heldIds.erase(held.back().backendId);
             held.pop_back();
         }
     }
     for (const BackendLease &lease : held)
-        pool.release(lease);
+        release(pool, lease);
 }
 
 } // namespace

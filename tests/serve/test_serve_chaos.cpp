@@ -238,8 +238,11 @@ TEST(ChaosCore, CalibrationStormDriftsExactlyOncePerEvent)
     // completed-lease history but no storm ends at a different
     // calibration digest.
     BackendPool control({"guadalupe"}, 1234);
-    for (int i = 0; i < 2; ++i)
-        control.release(control.acquire());
+    for (int i = 0; i < 2; ++i) {
+        std::vector<HealthTransition> t;
+        control.releaseSuccess(control.acquireHealthAware(0, t).value(),
+                               1.0, 0);
+    }
     EXPECT_EQ(control.leasesCompleted(0), stormed.leasesCompleted(0));
     EXPECT_NE(control.calibrationDigest(0),
               stormed.calibrationDigest(0));

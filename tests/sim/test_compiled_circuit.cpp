@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the circuit compiler itself: op-count reduction,
  * kernel classification, diagonal-run merging, cancellation peepholes,
- * 2q absorption, and parameter-slot rebinding. End-to-end numeric
- * equivalence against the unfused path lives in
+ * 2q absorption, parameter-slot rebinding, and the size rule by which
+ * run(Circuit) picks the compiled or the gate-by-gate path. End-to-end
+ * numeric equivalence against the unfused path lives in
  * test_fusion_equivalence.cpp.
  */
 
@@ -12,21 +13,16 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "sim/compiled_circuit.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 
 namespace qismet {
 namespace {
-
-/** Restores the global fusion switch on scope exit. */
-class FusionGuard
-{
-  public:
-    ~FusionGuard() { setFusionEnabled(true); }
-};
 
 std::size_t
 countKind(const CompiledCircuit &cc, CompiledOpKind kind)
@@ -224,38 +220,116 @@ TEST(CompiledCircuit, BindValidatesParameterCount)
     EXPECT_EQ(pool.size(), cc.bindPoolSize());
 }
 
-TEST(CompiledCircuit, FuseOffLowersOneOpPerGate)
+/**
+ * A parameterized circuit whose fused products round differently from
+ * the gate-by-gate sweep: stacked 1q rotations on every qubit, then a
+ * CX/CZ/SWAP entangling layer and one more rotation layer.
+ */
+Circuit
+sizeRuleCircuit(int n)
 {
-    Circuit c(2);
-    c.h(0).h(0).rz(0, 0.5).cx(0, 1);
-    CompileOptions opts;
-    opts.fuse = false;
-    const CompiledCircuit cc(c, opts);
-    EXPECT_EQ(cc.ops().size(), 4u);
+    Circuit c(n, n);
+    for (int q = 0; q < n; ++q)
+        c.h(q).rz(q, 0.3 + 0.1 * q).ryParam(q, q).sx(q).t(q).rx(q, -0.7);
+    for (int q = 0; q + 1 < n; ++q)
+        c.cx(q, q + 1).cz(q, q + 1);
+    if (n > 1)
+        c.swap(0, n - 1);
+    for (int q = 0; q < n; ++q)
+        c.ry(q, 0.2 * q - 0.5).rz(q, 1.1);
+    return c;
 }
 
-TEST(CompiledCircuit, FusionSwitchControlsRunPath)
+std::vector<double>
+sizeRuleParams(int n)
 {
-    FusionGuard guard;
-    EXPECT_TRUE(fusionEnabled());
-    setFusionEnabled(false);
-    EXPECT_FALSE(fusionEnabled());
+    std::vector<double> theta;
+    for (int q = 0; q < n; ++q)
+        theta.push_back(0.37 * q - 0.9);
+    return theta;
+}
 
-    // With fusion off, run(Circuit) takes the legacy gate-by-gate path;
-    // with it on, the compiled path. Both must agree numerically.
-    Circuit c(3);
-    c.h(0).cx(0, 1).rz(1, 0.8).ry(2, -0.4).cz(1, 2);
-    Statevector legacy(3);
-    legacy.run(c);
+bool
+bitEqual(const Complex &a, const Complex &b)
+{
+    return std::bit_cast<std::uint64_t>(a.real()) ==
+               std::bit_cast<std::uint64_t>(b.real()) &&
+           std::bit_cast<std::uint64_t>(a.imag()) ==
+               std::bit_cast<std::uint64_t>(b.imag());
+}
 
-    setFusionEnabled(true);
-    Statevector fused(3);
-    fused.run(c);
-    for (std::size_t i = 0; i < fused.dim(); ++i) {
-        EXPECT_NEAR(fused.amplitudes()[i].real(),
-                    legacy.amplitudes()[i].real(), 1e-12);
-        EXPECT_NEAR(fused.amplitudes()[i].imag(),
-                    legacy.amplitudes()[i].imag(), 1e-12);
+bool
+bitEqual(const Statevector &a, const Statevector &b)
+{
+    if (a.dim() != b.dim())
+        return false;
+    for (std::size_t i = 0; i < a.dim(); ++i)
+        if (!bitEqual(a.amplitudes()[i], b.amplitudes()[i]))
+            return false;
+    return true;
+}
+
+bool
+bitEqual(const DensityMatrix &a, const DensityMatrix &b)
+{
+    if (a.dim() != b.dim())
+        return false;
+    for (std::size_t r = 0; r < a.dim(); ++r)
+        for (std::size_t c = 0; c < a.dim(); ++c)
+            if (!bitEqual(a.element(r, c), b.element(r, c)))
+                return false;
+    return true;
+}
+
+TEST(CompiledCircuit, RunCircuitSelectsPathBySize)
+{
+    // Below kAutoCompileAmplitudes amplitudes run(Circuit) applies the
+    // gates one by one; at and above it, it runs the compiled circuit.
+    // The two paths round differently on this circuit, so bit equality
+    // with one of them pins which path ran.
+    for (int n : {3, 5, 6, 7}) {
+        const Circuit c = sizeRuleCircuit(n);
+        const std::vector<double> theta = sizeRuleParams(n);
+        Statevector gate_by_gate(n);
+        for (const Gate &g : c.gates())
+            gate_by_gate.applyGate(g, theta);
+        Statevector compiled(n);
+        compiled.run(CompiledCircuit(c), theta);
+        ASSERT_FALSE(bitEqual(gate_by_gate, compiled))
+            << "n=" << n << ": paths agree bitwise, the test is blind";
+
+        Statevector ran(n);
+        ran.run(c, theta);
+        const bool auto_compiles = ran.dim() >= kAutoCompileAmplitudes;
+        EXPECT_EQ(auto_compiles, n >= 6) << "n=" << n;
+        EXPECT_TRUE(bitEqual(ran, auto_compiles ? compiled : gate_by_gate))
+            << "n=" << n;
+    }
+}
+
+TEST(CompiledCircuit, DensityMatrixRunSelectsPathBySize)
+{
+    // Same rule against the dim² elements a density-matrix sweep
+    // touches: 2 qubits (16 elements) stay gate by gate, 3 qubits (64)
+    // already compile.
+    for (int n : {1, 2, 3, 4}) {
+        const Circuit c = sizeRuleCircuit(n);
+        const std::vector<double> theta = sizeRuleParams(n);
+        DensityMatrix gate_by_gate(n);
+        for (const Gate &g : c.gates())
+            gate_by_gate.applyGate(g, theta);
+        DensityMatrix compiled(n);
+        compiled.run(CompiledCircuit(c), theta);
+        ASSERT_FALSE(bitEqual(gate_by_gate, compiled))
+            << "n=" << n << ": paths agree bitwise, the test is blind";
+
+        DensityMatrix ran(n);
+        ran.run(c, theta);
+        const bool auto_compiles =
+            ran.dim() * ran.dim() >= kAutoCompileAmplitudes;
+        EXPECT_EQ(auto_compiles, n >= 3) << "n=" << n;
+        EXPECT_TRUE(bitEqual(ran, auto_compiles ? compiled : gate_by_gate))
+            << "n=" << n;
     }
 }
 

@@ -47,9 +47,10 @@ ctest --preset tier1
 
 stage "kernel determinism cross-checks (scalar kernels; 4 worker threads)"
 # The SIMD/parallel kernel battery and the batched-expectation
-# equivalence suites re-run with the AVX2 path disabled and again with
-# 4 intra-state workers — both must be bit-identical to the default
-# run (the simd-off / tier1-threads presets run the whole tier; CI
+# equivalence suites (which compare the engine against an in-test
+# term-by-term oracle) re-run with the AVX2 path disabled and again
+# with 4 intra-state workers — both must be bit-identical to the
+# default run (the simd-off / tier1-threads presets run the whole tier; CI
 # keeps this bounded by re-running just the kernel/expectation suites
 # and the golden replays).
 QISMET_SIMD=off ctest --test-dir build \
@@ -57,13 +58,6 @@ QISMET_SIMD=off ctest --test-dir build \
     --output-on-failure -j 8
 QISMET_THREADS=4 ctest --test-dir build \
     -R 'Kernel|Threshold|BatchedExpectation|ExpectationPlan' \
-    --output-on-failure -j 8
-# And once more with the batched engine's escape hatch thrown: every
-# equivalence assertion must hold when the legacy term-by-term path is
-# the one answering, proving the hatch is a real fallback and not a
-# stale code path.
-QISMET_NO_BATCHED_EXPECT=1 ctest --test-dir build \
-    -R 'BatchedExpectation|ExpectationPlan' \
     --output-on-failure -j 8
 
 stage "golden-trace regression suite"
@@ -220,10 +214,11 @@ stage "expectation benchmarks vs tracked baseline (BENCH_expectation.json)"
 tools/bench-compare.sh BENCH_expectation.json build/BENCH_expectation.json
 
 stage "batched-expectation speedup gate (>=2x amp-terms/sec at 10+ qubits)"
-# BM_SumExpectation runs the public expectation() entry point with the
-# batched engine on and off at each width; on AVX2 hosts the batched
-# sweep (grouped xmasks + vector kernel, including its per-call plan
-# compile) must deliver at least 2x the legacy term-by-term throughput
+# BM_SumExpectation times the public expectation() entry point
+# (batched:1) against a bench-local term-by-term loop over the
+# per-string overload (batched:0) at each width; on AVX2 hosts the
+# batched sweep (grouped xmasks + vector kernel, including its per-call
+# plan compile) must deliver at least 2x the term-by-term throughput
 # at 10+ qubits and 24 terms. On hosts without AVX2 the simd:1 rows
 # report the scalar backend and the gate skips itself (grouping alone
 # sustains ~1.6x at the larger widths; the 2x contract is for the

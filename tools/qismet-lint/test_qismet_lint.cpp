@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -731,6 +732,16 @@ struct BadFixtureCase
     const char *rule;
     int expectedFindings;
 };
+
+// Print the case by fixture path. Without this gtest prints the
+// struct's raw bytes (two string pointers), and the discovered ctest
+// names, which carry the printed parameter, would change with the
+// binary's layout.
+void
+PrintTo(const BadFixtureCase &c, std::ostream *os)
+{
+    *os << c.file;
+}
 
 class BadFixtures : public ::testing::TestWithParam<BadFixtureCase>
 {
