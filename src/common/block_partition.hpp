@@ -45,14 +45,13 @@ inline constexpr std::size_t kIntraStateBlocks = 16;
 /**
  * Minimum state size (elements touched by the sweep) at which kernels
  * split across the pool and reductions switch to the blocked shape.
- * Default 1024 (a 10-qubit statevector; QISMET_PARALLEL_MIN_AMPS
- * overrides, read once).
+ * 1024 (a 10-qubit statevector) unless a test has set an override.
  */
 std::size_t intraStateParallelThreshold();
 
 /**
  * Programmatic threshold override (tests probe both sides of the
- * boundary). 0 restores the default/environment value.
+ * boundary). 0 restores the default.
  */
 void setIntraStateParallelThreshold(std::size_t elements);
 

@@ -15,7 +15,7 @@
  *     (`__builtin_cpu_supports`), checked once and cached.
  *   - policy: the `QISMET_SIMD` environment variable (`off` or `0`
  *     disables; read once) and the `setSimdEnabled()` programmatic
- *     override (tests, A/B benches), mirroring the fusion switch.
+ *     override (tests, A/B benches).
  *
  * Determinism contract (DESIGN.md "SIMD + intra-state parallelism"):
  * the SIMD kernels are bit-identical to the scalar kernels. The

@@ -2,10 +2,22 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace qismet {
 
 namespace {
+
+/** Cap on the qubit count of a merged diagonal run (its table is 2^n). */
+constexpr int kMaxDiagQubits = 10;
+
+/**
+ * Register width at and above which dense 1q gates absorb a neighbouring
+ * CX/SWAP into a dense 4x4. That gives up the permutation fast path to
+ * save a memory pass, which pays only once a pass is memory-bound;
+ * narrower states are compute-bound and keep the permutation kernels.
+ */
+constexpr int kAbsorb2qWidth = 14;
 
 /** Local bit position of qubit `q` inside the gathered `mask` index. */
 int
@@ -85,14 +97,10 @@ matrixSize(CompiledOpKind kind, std::uint64_t mask)
 
 } // namespace
 
-CompiledCircuit::CompiledCircuit(const Circuit &circuit,
-                                 CompileOptions options)
+CompiledCircuit::CompiledCircuit(const Circuit &circuit)
     : numQubits_(circuit.numQubits()), numParams_(circuit.numParams())
 {
-    const bool absorb2q =
-        options.absorb2q == CompileOptions::Absorb2q::Always ||
-        (options.absorb2q == CompileOptions::Absorb2q::Auto &&
-         numQubits_ >= options.absorb2qAutoWidth);
+    const bool absorb2q = numQubits_ >= kAbsorb2qWidth;
 
     /** Fusion work-in-progress node; becomes one CompiledOp unless erased. */
     struct BNode
@@ -105,6 +113,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         bool erased = false;
     };
     std::vector<BNode> nodes;
+    nodes.reserve(circuit.gates().size());
 
     // Index of the last live node touching each qubit. kNone = untouched;
     // kBarrier = the last toucher was cancelled away, so its *predecessor*
@@ -147,7 +156,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
     for (const Gate &g : circuit.gates()) {
         if (g.type == GateType::I)
             continue;
-        ++stats_.inputGates;
 
         if (gateArity(g.type) == 1) {
             const int q = g.qubits[0];
@@ -169,7 +177,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 node(t).kind == CompiledOpKind::PermX &&
                 node(t).factors.size() == 1) {
                 node(t).erased = true;
-                stats_.cancelled += 2;
                 touch(q, kBarrier);
                 continue;
             }
@@ -196,7 +203,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                     BNode &n = node(lastDiag);
                     const std::uint64_t bit = std::uint64_t{1} << q;
                     const int width = std::popcount(n.mask | bit);
-                    if (width <= options.maxDiagQubits) {
+                    if (width <= kMaxDiagQubits) {
                         n.mask |= bit;
                         n.factors.push_back(ParamFactor{g, -1});
                         touch(q, lastDiag);
@@ -233,7 +240,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
                 const std::uint64_t bits =
                     (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
                 const int width = std::popcount(n.mask | bits);
-                if (width <= options.maxDiagQubits) {
+                if (width <= kMaxDiagQubits) {
                     n.mask |= bits;
                     n.factors.push_back(ParamFactor{g, -1});
                     touch(a, lastDiag);
@@ -259,7 +266,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             (permKind == CompiledOpKind::PermSwap ||
              (node(ta).q0 == a && node(ta).q1 == b))) {
             node(ta).erased = true;
-            stats_.cancelled += 2;
             touch(a, kBarrier);
             touch(b, kBarrier);
             continue;
@@ -301,7 +307,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
 
     // Emit the op stream: constant nodes evaluate into the const pool
     // now; parameterized nodes become bind-time slots.
-    for (const BNode &n : nodes) {
+    for (BNode &n : nodes) {
         if (n.erased)
             continue;
         bool parameterized = false;
@@ -321,7 +327,7 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
         slot.mask = n.mask;
         slot.q0 = n.q0;
         slot.q1 = n.q1;
-        slot.factors = n.factors;
+        slot.factors = std::move(n.factors);
 
         if (parameterized) {
             op.offset = static_cast<std::uint32_t>(bindPoolSize_);
@@ -335,24 +341,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit,
             evalSlot(slot, {}, constPool_.data() + op.offset);
         }
         ops_.push_back(op);
-
-        ++stats_.ops;
-        switch (n.kind) {
-          case CompiledOpKind::Dense1:
-            ++stats_.dense1;
-            break;
-          case CompiledOpKind::Dense2:
-            ++stats_.dense2;
-            break;
-          case CompiledOpKind::Diag:
-            ++stats_.diag;
-            break;
-          case CompiledOpKind::PermX:
-          case CompiledOpKind::PermCX:
-          case CompiledOpKind::PermSwap:
-            ++stats_.perm;
-            break;
-        }
     }
 }
 

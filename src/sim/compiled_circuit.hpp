@@ -13,10 +13,12 @@
  *    pool, so one compiled circuit serves every (θ, thread) pair.
  *  - **Greedy fusion.** Adjacent 1q gates on the same qubit fuse into a
  *    single 2×2; 1q gates are absorbed into neighbouring 2q ops as 4×4
- *    products (cost-gated — see `CompileOptions::absorb2q`); runs of
- *    commuting diagonal gates (Z/S/T/RZ/CZ...) merge into one
- *    multi-qubit diagonal table applied in a single pass; X·X, CX·CX
- *    and SWAP·SWAP pairs cancel.
+ *    products on registers of 14 qubits or more (narrower states are
+ *    compute-bound and keep the permutation kernels); runs of
+ *    commuting diagonal gates (Z/S/T/RZ/CZ...) merge into one diagonal
+ *    table of at most 10 qubits, applied in a single pass; X·X, CX·CX
+ *    and SWAP·SWAP pairs cancel. Both limits are size rules of the
+ *    compiler, not options.
  *  - **Kernel classification.** Each op carries a kind tag so the
  *    simulators dispatch to specialized kernels: diagonal ops touch
  *    each amplitude exactly once, permutation ops (X/CX/SWAP) move
@@ -24,15 +26,16 @@
  *    dim/4 base indices directly via bit-deposit instead of
  *    scan-and-skip.
  *
- * Determinism contract: compilation is a pure function of (circuit,
- * options); executing a compiled circuit is bit-identical run-to-run
+ * Determinism contract: compilation is a pure function of the
+ * circuit; executing a compiled circuit is bit-identical run-to-run
  * and at every thread count. Fusion *does* change the floating-point
- * summation order relative to the unfused gate-by-gate path, so
- * results agree with it to ~1e-12, not bit-for-bit —
- * golden traces were regenerated once when this layer landed
- * (DESIGN.md §11). `Statevector::run(Circuit)` and
- * `DensityMatrix::run(Circuit)` compile only at and above
- * `kAutoCompileAmplitudes`; below it they apply gate by gate.
+ * summation order relative to the unfused gate-by-gate reference
+ * (`Statevector::applyGate`, `DensityMatrix::applyGate`), so results
+ * agree with it to ~1e-12, not bit-for-bit — golden traces were
+ * regenerated once when this layer landed (DESIGN.md §11).
+ * `Statevector::run(Circuit)` and `DensityMatrix::run(Circuit)`
+ * compile at every size: a whole circuit always runs through this
+ * layer.
  */
 
 #ifndef QISMET_SIM_COMPILED_CIRCUIT_HPP
@@ -79,43 +82,6 @@ struct CompiledOp
     std::uint32_t offset = 0;
 };
 
-/** Fusion-pass accounting, for tests and compile-time introspection. */
-struct FusionStats
-{
-    std::size_t inputGates = 0; ///< Gates in the source circuit (I skipped).
-    std::size_t ops = 0;        ///< Compiled ops emitted.
-    std::size_t dense1 = 0;
-    std::size_t dense2 = 0;
-    std::size_t diag = 0;
-    std::size_t perm = 0;
-    std::size_t cancelled = 0;  ///< Gates removed by X·X / CX·CX / SWAP·SWAP.
-};
-
-/** Compilation policy knobs. */
-struct CompileOptions
-{
-    /** Cap on the qubit count of a merged diagonal run (table = 2^n). */
-    int maxDiagQubits = 10;
-
-    /**
-     * Whether dense 1q gates may absorb a neighbouring CX/SWAP into a
-     * dense 4×4 (losing the permutation fast path but saving a memory
-     * pass). `Auto` enables it only for wide registers where passes
-     * are memory-bound; small states are compute-bound and keep the
-     * permutation kernels.
-     */
-    enum class Absorb2q : std::uint8_t
-    {
-        Auto,
-        Always,
-        Never,
-    };
-    Absorb2q absorb2q = Absorb2q::Auto;
-
-    /** Register width at and above which `Auto` absorbs into 2q ops. */
-    int absorb2qAutoWidth = 14;
-};
-
 /**
  * A circuit lowered to a flat op-stream with cached matrices.
  *
@@ -126,14 +92,12 @@ struct CompileOptions
 class CompiledCircuit
 {
   public:
-    /** Compile `circuit` under the given options. */
-    explicit CompiledCircuit(const Circuit &circuit,
-                             CompileOptions options = {});
+    /** Compile `circuit`. */
+    explicit CompiledCircuit(const Circuit &circuit);
 
     int numQubits() const { return numQubits_; }
     int numParams() const { return numParams_; }
     const std::vector<CompiledOp> &ops() const { return ops_; }
-    const FusionStats &stats() const { return stats_; }
 
     /** Constant-matrix pool (offsets from constant ops point here). */
     const std::vector<Complex> &constPool() const { return constPool_; }
@@ -193,7 +157,6 @@ class CompiledCircuit
     std::vector<Complex> constPool_;
     std::vector<ParamSlot> slots_;
     std::size_t bindPoolSize_ = 0;
-    FusionStats stats_;
 };
 
 /**
@@ -215,15 +178,6 @@ depositBits(std::uint64_t value, std::uint64_t mask)
     }
     return out;
 }
-
-/**
- * Minimum state size (amplitudes for a statevector, elements for a
- * density matrix) at which `run(Circuit)` auto-compiles before
- * executing. Below it the one-shot compile costs more than the sweep it
- * saves, so the gates apply one by one instead. Irrelevant to
- * callers holding a CompiledCircuit, who have already paid the compile.
- */
-inline constexpr std::size_t kAutoCompileAmplitudes = 64;
 
 } // namespace qismet
 

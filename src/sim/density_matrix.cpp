@@ -174,6 +174,9 @@ DensityMatrix::applyGate(const Gate &gate, const std::vector<double> &params)
     } else {
         checkQubit(gate.qubits[0]);
         checkQubit(gate.qubits[1]);
+        if (gate.qubits[0] == gate.qubits[1])
+            throw std::invalid_argument(
+                "DensityMatrix::applyGate: equal qubits");
         gate.matrixInto(u, params);
         adjointInto(u, 4, udag);
         applyLeft2q(gate.qubits[0], gate.qubits[1], u, rho_);
@@ -347,16 +350,7 @@ DensityMatrix::applyChannel2q(int q1, int q0, const KrausChannel &channel)
 void
 DensityMatrix::run(const Circuit &circuit, const std::vector<double> &params)
 {
-    if (circuit.numQubits() != numQubits_)
-        throw std::invalid_argument("DensityMatrix::run: width mismatch");
-    // Same amortization rule as Statevector::run, against the dim^2
-    // elements a density-matrix sweep touches.
-    if (dim_ * dim_ >= kAutoCompileAmplitudes) {
-        run(CompiledCircuit(circuit), params);
-        return;
-    }
-    for (const Gate &g : circuit.gates())
-        applyGate(g, params);
+    run(CompiledCircuit(circuit), params);
 }
 
 void

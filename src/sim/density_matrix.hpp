@@ -44,7 +44,11 @@ class DensityMatrix
     /** Reset to |0..0><0..0|. */
     void reset();
 
-    /** Apply a gate as a unitary conjugation. */
+    /**
+     * Apply a gate as a unitary conjugation, unfused.
+     * @throws std::out_of_range if a qubit is outside the register.
+     * @throws std::invalid_argument if a 2-qubit gate repeats a qubit.
+     */
     void applyGate(const Gate &gate, const std::vector<double> &params = {});
 
     /** Apply a 1-qubit channel to qubit q. */
@@ -53,11 +57,7 @@ class DensityMatrix
     /** Apply a 2-qubit channel to (q1, q0), q1 = most significant. */
     void applyChannel2q(int q1, int q0, const KrausChannel &channel);
 
-    /**
-     * Run a noiseless circuit. At and above kAutoCompileAmplitudes
-     * elements (dim²) the circuit is compiled and executed through the
-     * fused kernels; below it the gates apply one by one (applyGate).
-     */
+    /** Run a noiseless circuit: compile it, then run(CompiledCircuit). */
     void run(const Circuit &circuit, const std::vector<double> &params = {});
 
     /** Run a pre-compiled circuit (compile once, conjugate many). */

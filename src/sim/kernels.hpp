@@ -31,9 +31,11 @@
  *     multiplied, as before (multiplying by one can flip a -0.0).
  *
  * Consequently SIMD-on, SIMD-off and every thread count produce
- * bit-identical amplitudes, and all of them match the legacy
- * gate-by-gate path bit-for-bit on finite data — pinned by
- * tests/sim/test_kernel_equivalence.cpp and the golden replays.
+ * bit-identical amplitudes, and all of them match the pre-SIMD gate
+ * loops bit-for-bit on finite data. Those loops survive only as
+ * verbatim references in tests/sim/test_kernel_equivalence.cpp, which
+ * pins this contract together with the golden replays. Every gate the
+ * simulators apply, fused or not, goes through these kernels.
  *
  * The contiguous-run micro-kernels (`dense1Run`, `dense2Run`, ...) are
  * shared with the density-matrix sweeps, whose row/column structure

@@ -42,122 +42,31 @@ Statevector::checkQubit(int q) const
 }
 
 void
-Statevector::apply1q(int q, const Matrix &u)
-{
-    checkQubit(q);
-    if (u.rows() != 2 || u.cols() != 2)
-        throw std::invalid_argument("Statevector::apply1q: matrix not 2x2");
-    invalidateCache();
-
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-
-    for (std::uint64_t base = 0; base < amps_.size(); base += 2 * stride) {
-        for (std::uint64_t offset = 0; offset < stride; ++offset) {
-            const std::uint64_t i0 = base + offset;
-            const std::uint64_t i1 = i0 + stride;
-            const Complex a0 = amps_[i0];
-            const Complex a1 = amps_[i1];
-            amps_[i0] = u00 * a0 + u01 * a1;
-            amps_[i1] = u10 * a0 + u11 * a1;
-        }
-    }
-}
-
-void
-Statevector::apply2q(int q1, int q0, const Matrix &u)
-{
-    checkQubit(q1);
-    checkQubit(q0);
-    if (q1 == q0)
-        throw std::invalid_argument("Statevector::apply2q: equal qubits");
-    if (u.rows() != 4 || u.cols() != 4)
-        throw std::invalid_argument("Statevector::apply2q: matrix not 4x4");
-    invalidateCache();
-
-    const std::uint64_t b1 = std::uint64_t{1} << q1;
-    const std::uint64_t b0 = std::uint64_t{1} << q0;
-
-    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
-        if (i & (b1 | b0))
-            continue; // visit each 4-tuple once, from its 00 member
-        // Local index: bit1 = qubit q1 state, bit0 = qubit q0 state.
-        const std::uint64_t idx[4] = {i, i | b0, i | b1, i | b1 | b0};
-        Complex in[4];
-        for (int k = 0; k < 4; ++k)
-            in[k] = amps_[idx[k]];
-        for (int r = 0; r < 4; ++r) {
-            Complex acc(0.0, 0.0);
-            for (int c = 0; c < 4; ++c)
-                acc += u(r, c) * in[c];
-            amps_[idx[r]] = acc;
-        }
-    }
-}
-
-void
 Statevector::applyGate(const Gate &gate, const std::vector<double> &params)
 {
+    // The unfused reference the compiled path is tested against: one
+    // dense kernel call per gate, the same lowering as
+    // DensityMatrix::applyGate.
+    const bool two_qubit = gateArity(gate.type) == 2;
+    checkQubit(gate.qubits[0]);
+    if (two_qubit) {
+        checkQubit(gate.qubits[1]);
+        if (gate.qubits[0] == gate.qubits[1])
+            throw std::invalid_argument("Statevector::applyGate: equal qubits");
+    }
     invalidateCache();
-    // Fast paths for the common entanglers; everything else goes through
-    // the dense matrix.
-    switch (gate.type) {
-      case GateType::I:
-        return;
-      case GateType::CX: {
-        const std::uint64_t cbit = std::uint64_t{1} << gate.qubits[0];
-        const std::uint64_t tbit = std::uint64_t{1} << gate.qubits[1];
-        for (std::uint64_t i = 0; i < amps_.size(); ++i) {
-            if ((i & cbit) && !(i & tbit))
-                std::swap(amps_[i], amps_[i | tbit]);
-        }
-        return;
-      }
-      case GateType::CZ: {
-        const std::uint64_t mask =
-            (std::uint64_t{1} << gate.qubits[0]) |
-            (std::uint64_t{1} << gate.qubits[1]);
-        for (std::uint64_t i = 0; i < amps_.size(); ++i) {
-            if ((i & mask) == mask)
-                amps_[i] = -amps_[i];
-        }
-        return;
-      }
-      case GateType::SWAP: {
-        const std::uint64_t a = std::uint64_t{1} << gate.qubits[0];
-        const std::uint64_t b = std::uint64_t{1} << gate.qubits[1];
-        for (std::uint64_t i = 0; i < amps_.size(); ++i) {
-            if ((i & a) && !(i & b))
-                std::swap(amps_[i], amps_[(i ^ a) | b]);
-        }
-        return;
-      }
-      default:
-        break;
-    }
-
-    if (gateArity(gate.type) == 1) {
-        apply1q(gate.qubits[0], gate.matrix(params));
-    } else {
-        apply2q(gate.qubits[0], gate.qubits[1], gate.matrix(params));
-    }
+    Complex m[16];
+    gate.matrixInto(m, params);
+    if (two_qubit)
+        kern::applyDense2(amps_, gate.qubits[0], gate.qubits[1], m);
+    else
+        kern::applyDense1(amps_, gate.qubits[0], m);
 }
 
 void
 Statevector::run(const Circuit &circuit, const std::vector<double> &params)
 {
-    if (circuit.numQubits() != numQubits_)
-        throw std::invalid_argument("Statevector::run: width mismatch");
-    // One-shot compile only pays for itself once the per-gate sweep
-    // touches enough amplitudes; below that the legacy loop wins.
-    // Callers that rerun a circuit should hold a CompiledCircuit (the
-    // energy estimator does), which always uses the fused kernels.
-    if (amps_.size() >= kAutoCompileAmplitudes) {
-        run(CompiledCircuit(circuit), params);
-        return;
-    }
-    for (const Gate &g : circuit.gates())
-        applyGate(g, params);
+    run(CompiledCircuit(circuit), params);
 }
 
 void

@@ -38,24 +38,17 @@ class Statevector
     /** Reset to |0...0>. */
     void reset();
 
-    /** Apply one gate (params needed if the gate is parameterized). */
+    /**
+     * Apply one gate unfused (params needed if the gate is
+     * parameterized): the gate's dense matrix through kern::applyDense1
+     * or kern::applyDense2. The reference the fusion tests compare the
+     * compiled path against.
+     * @throws std::out_of_range if a qubit is outside the register.
+     * @throws std::invalid_argument if a 2-qubit gate repeats a qubit.
+     */
     void applyGate(const Gate &gate, const std::vector<double> &params = {});
 
-    /** Apply an arbitrary 2x2 unitary to qubit q. */
-    void apply1q(int q, const Matrix &u);
-
-    /**
-     * Apply an arbitrary 4x4 unitary to (q1, q0) where q1 indexes the
-     * most-significant bit of the 4x4 local space (matching
-     * Gate::matrix's [qubits[0], qubits[1]] ordering with q1 = qubits[0]).
-     */
-    void apply2q(int q1, int q0, const Matrix &u);
-
-    /**
-     * Run a whole circuit. At and above kAutoCompileAmplitudes
-     * amplitudes the circuit is compiled and executed through the fused
-     * kernels; below it the gates apply one by one (applyGate).
-     */
+    /** Run a whole circuit: compile it, then run(CompiledCircuit). */
     void run(const Circuit &circuit, const std::vector<double> &params = {});
 
     /**

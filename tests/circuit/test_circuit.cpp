@@ -121,8 +121,7 @@ TEST(Circuit, InverseUndoesRandomCircuit)
     Statevector st(3);
     // Start from a random product state so identity is non-trivial.
     for (int q = 0; q < 3; ++q) {
-        st.apply1q(q, Gate{GateType::RY, {q, 0},
-                           rng.uniform(-3.0, 3.0)}.matrix());
+        st.applyGate(Gate{GateType::RY, {q, 0}, rng.uniform(-3.0, 3.0)});
     }
     Statevector reference = st;
 

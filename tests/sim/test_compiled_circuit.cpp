@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the circuit compiler itself: op-count reduction,
  * kernel classification, diagonal-run merging, cancellation peepholes,
- * 2q absorption, parameter-slot rebinding, and the size rule by which
- * run(Circuit) picks the compiled or the gate-by-gate path. End-to-end
+ * 2q absorption and its width rule, parameter-slot rebinding, and
+ * run(Circuit) as a thin wrapper over the compiled path. End-to-end
  * numeric equivalence against the unfused path lives in
  * test_fusion_equivalence.cpp.
  */
@@ -40,7 +40,6 @@ TEST(CompiledCircuit, AdjacentOneQubitGatesFuseIntoOneDense)
     c.h(0).rz(0, 0.3).ry(0, -0.7).sx(0).t(0);
     const CompiledCircuit cc(c);
 
-    EXPECT_EQ(cc.stats().inputGates, 5u);
     ASSERT_EQ(cc.ops().size(), 1u);
     EXPECT_EQ(cc.ops()[0].kind, CompiledOpKind::Dense1);
     EXPECT_EQ(cc.ops()[0].q0, 0);
@@ -73,7 +72,7 @@ TEST(CompiledCircuit, CommutingDiagonalRunMergesIntoOneTable)
     ASSERT_EQ(cc.ops().size(), 1u);
     EXPECT_EQ(cc.ops()[0].kind, CompiledOpKind::Diag);
     EXPECT_EQ(cc.ops()[0].mask, 0b111u);
-    EXPECT_EQ(cc.stats().diag, 1u);
+    EXPECT_EQ(countKind(cc, CompiledOpKind::Diag), 1u);
 }
 
 TEST(CompiledCircuit, DiagonalRunBrokenByNonCommutingGate)
@@ -93,15 +92,17 @@ TEST(CompiledCircuit, DiagonalRunBrokenByNonCommutingGate)
 
 TEST(CompiledCircuit, MaxDiagQubitsCapSplitsRuns)
 {
-    Circuit c(4);
-    c.rz(0, 0.1).rz(1, 0.2).rz(2, 0.3).rz(3, 0.4);
-    CompileOptions opts;
-    opts.maxDiagQubits = 2;
-    const CompiledCircuit cc(c, opts);
+    // Twelve commuting RZs: the run closes at the 10-qubit cap and the
+    // last two open a second table.
+    Circuit c(12);
+    for (int q = 0; q < 12; ++q)
+        c.rz(q, 0.1 * (q + 1));
+    const CompiledCircuit cc(c);
 
-    EXPECT_EQ(cc.stats().diag, 2u);
-    for (const auto &op : cc.ops())
-        EXPECT_LE(std::popcount(op.mask), 2);
+    ASSERT_EQ(cc.ops().size(), 2u);
+    EXPECT_EQ(countKind(cc, CompiledOpKind::Diag), 2u);
+    EXPECT_EQ(cc.ops()[0].mask, 0x3ffu);
+    EXPECT_EQ(cc.ops()[1].mask, 0xc00u);
 }
 
 TEST(CompiledCircuit, PermutationGatesGetPermutationKernels)
@@ -123,7 +124,6 @@ TEST(CompiledCircuit, SelfInversePairsCancel)
     const CompiledCircuit cc(c);
 
     EXPECT_EQ(cc.ops().size(), 0u);
-    EXPECT_EQ(cc.stats().cancelled, 6u);
 }
 
 TEST(CompiledCircuit, ReversedControlDoesNotCancel)
@@ -132,26 +132,25 @@ TEST(CompiledCircuit, ReversedControlDoesNotCancel)
     c.cx(0, 1).cx(1, 0);
     const CompiledCircuit cc(c);
     EXPECT_EQ(cc.ops().size(), 2u);
-    EXPECT_EQ(cc.stats().cancelled, 0u);
+    EXPECT_EQ(countKind(cc, CompiledOpKind::PermCX), 2u);
 }
 
-TEST(CompiledCircuit, AbsorbIntoTwoQubitWhenRequested)
+TEST(CompiledCircuit, AbsorbIntoTwoQubitAtWidth14)
 {
-    Circuit c(2);
+    // At 14 qubits 1q gates absorb into the CX: both pending 1q nodes,
+    // the CX and the trailing rz collapse into one dense 4x4.
+    const int n = 14;
+    Circuit c(n);
     c.h(0).ry(1, 0.4).cx(0, 1).rz(1, -0.2);
-    CompileOptions opts;
-    opts.absorb2q = CompileOptions::Absorb2q::Always;
-    const CompiledCircuit cc(c, opts);
+    const CompiledCircuit cc(c);
 
-    // Both pending 1q nodes, the CX and the trailing rz collapse into
-    // one dense 4x4.
     ASSERT_EQ(cc.ops().size(), 1u);
     EXPECT_EQ(cc.ops()[0].kind, CompiledOpKind::Dense2);
 
-    // And the result matches the unfused application exactly.
-    Statevector fused(2);
+    // And the result matches the unfused application.
+    Statevector fused(n);
     fused.run(cc);
-    Statevector unfused(2);
+    Statevector unfused(n);
     for (const Gate &g : c.gates())
         unfused.applyGate(g);
     for (std::size_t i = 0; i < fused.dim(); ++i) {
@@ -164,12 +163,15 @@ TEST(CompiledCircuit, AbsorbIntoTwoQubitWhenRequested)
 
 TEST(CompiledCircuit, NarrowRegistersKeepPermKernelsByDefault)
 {
-    // Auto policy: below the width threshold CX stays a permutation op.
-    Circuit c(2);
-    c.h(0).cx(0, 1);
-    const CompiledCircuit cc(c);
-    EXPECT_EQ(countKind(cc, CompiledOpKind::PermCX), 1u);
-    EXPECT_EQ(countKind(cc, CompiledOpKind::Dense2), 0u);
+    // Below 14 qubits CX stays a permutation op, up to the widest
+    // register that keeps it.
+    for (const int n : {2, 13}) {
+        Circuit c(n);
+        c.h(0).cx(0, 1);
+        const CompiledCircuit cc(c);
+        EXPECT_EQ(countKind(cc, CompiledOpKind::PermCX), 1u) << "n=" << n;
+        EXPECT_EQ(countKind(cc, CompiledOpKind::Dense2), 0u) << "n=" << n;
+    }
 }
 
 TEST(CompiledCircuit, ParameterSlotsRebindAcrossRuns)
@@ -226,7 +228,7 @@ TEST(CompiledCircuit, BindValidatesParameterCount)
  * CX/CZ/SWAP entangling layer and one more rotation layer.
  */
 Circuit
-sizeRuleCircuit(int n)
+roundingProbeCircuit(int n)
 {
     Circuit c(n, n);
     for (int q = 0; q < n; ++q)
@@ -241,12 +243,29 @@ sizeRuleCircuit(int n)
 }
 
 std::vector<double>
-sizeRuleParams(int n)
+roundingProbeParams(int n)
 {
     std::vector<double> theta;
     for (int q = 0; q < n; ++q)
         theta.push_back(0.37 * q - 0.9);
     return theta;
+}
+
+/**
+ * Start state for the rounding probe. From |0...0> a fused 2x2 on one
+ * qubit reproduces the gate-by-gate bits exactly (its first column is
+ * built by the same products), which would blind the 1-qubit case.
+ */
+Statevector
+roundingProbeStart(int n)
+{
+    std::vector<Complex> amps;
+    for (std::size_t i = 0; i < (std::size_t{1} << n); ++i)
+        amps.emplace_back(std::cos(0.3 * static_cast<double>(i) + 0.1),
+                          std::sin(0.7 * static_cast<double>(i) - 0.2));
+    Statevector st(std::move(amps));
+    st.normalize();
+    return st;
 }
 
 bool
@@ -281,55 +300,47 @@ bitEqual(const DensityMatrix &a, const DensityMatrix &b)
     return true;
 }
 
-TEST(CompiledCircuit, RunCircuitSelectsPathBySize)
+TEST(CompiledCircuit, RunCircuitMatchesCompiledRun)
 {
-    // Below kAutoCompileAmplitudes amplitudes run(Circuit) applies the
-    // gates one by one; at and above it, it runs the compiled circuit.
-    // The two paths round differently on this circuit, so bit equality
-    // with one of them pins which path ran.
-    for (int n : {3, 5, 6, 7}) {
-        const Circuit c = sizeRuleCircuit(n);
-        const std::vector<double> theta = sizeRuleParams(n);
-        Statevector gate_by_gate(n);
+    // run(Circuit) is the compiled path at every width. The gate-by-gate
+    // sweep rounds differently on this circuit, so bit equality with the
+    // compiled run would catch a size rule that routed any width back to
+    // applyGate.
+    for (int n = 1; n <= 7; ++n) {
+        const Circuit c = roundingProbeCircuit(n);
+        const std::vector<double> theta = roundingProbeParams(n);
+        const Statevector start = roundingProbeStart(n);
+        Statevector gate_by_gate = start;
         for (const Gate &g : c.gates())
             gate_by_gate.applyGate(g, theta);
-        Statevector compiled(n);
+        Statevector compiled = start;
         compiled.run(CompiledCircuit(c), theta);
         ASSERT_FALSE(bitEqual(gate_by_gate, compiled))
             << "n=" << n << ": paths agree bitwise, the test is blind";
 
-        Statevector ran(n);
+        Statevector ran = start;
         ran.run(c, theta);
-        const bool auto_compiles = ran.dim() >= kAutoCompileAmplitudes;
-        EXPECT_EQ(auto_compiles, n >= 6) << "n=" << n;
-        EXPECT_TRUE(bitEqual(ran, auto_compiles ? compiled : gate_by_gate))
-            << "n=" << n;
+        EXPECT_TRUE(bitEqual(ran, compiled)) << "n=" << n;
     }
 }
 
-TEST(CompiledCircuit, DensityMatrixRunSelectsPathBySize)
+TEST(CompiledCircuit, DensityMatrixRunCircuitMatchesCompiledRun)
 {
-    // Same rule against the dim² elements a density-matrix sweep
-    // touches: 2 qubits (16 elements) stay gate by gate, 3 qubits (64)
-    // already compile.
-    for (int n : {1, 2, 3, 4}) {
-        const Circuit c = sizeRuleCircuit(n);
-        const std::vector<double> theta = sizeRuleParams(n);
-        DensityMatrix gate_by_gate(n);
+    for (int n = 1; n <= 7; ++n) {
+        const Circuit c = roundingProbeCircuit(n);
+        const std::vector<double> theta = roundingProbeParams(n);
+        const DensityMatrix start(roundingProbeStart(n));
+        DensityMatrix gate_by_gate = start;
         for (const Gate &g : c.gates())
             gate_by_gate.applyGate(g, theta);
-        DensityMatrix compiled(n);
+        DensityMatrix compiled = start;
         compiled.run(CompiledCircuit(c), theta);
         ASSERT_FALSE(bitEqual(gate_by_gate, compiled))
             << "n=" << n << ": paths agree bitwise, the test is blind";
 
-        DensityMatrix ran(n);
+        DensityMatrix ran = start;
         ran.run(c, theta);
-        const bool auto_compiles =
-            ran.dim() * ran.dim() >= kAutoCompileAmplitudes;
-        EXPECT_EQ(auto_compiles, n >= 3) << "n=" << n;
-        EXPECT_TRUE(bitEqual(ran, auto_compiles ? compiled : gate_by_gate))
-            << "n=" << n;
+        EXPECT_TRUE(bitEqual(ran, compiled)) << "n=" << n;
     }
 }
 
@@ -348,9 +359,10 @@ TEST(CompiledCircuit, OpCountShrinksOnAnsatzShapedCircuits)
             c.cx(q, q + 1);
     }
     const CompiledCircuit cc(c);
-    EXPECT_LT(cc.stats().ops, cc.stats().inputGates);
+    EXPECT_LT(cc.ops().size(), c.gates().size());
     // Each ry+rz pair becomes a single dense op.
-    EXPECT_EQ(cc.stats().dense1 + cc.stats().diag,
+    EXPECT_EQ(countKind(cc, CompiledOpKind::Dense1) +
+                  countKind(cc, CompiledOpKind::Diag),
               static_cast<std::size_t>(n * 3));
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/density_matrix.hpp"
@@ -173,6 +174,46 @@ TEST(DensityMatrix, ChannelArityValidation)
                  std::invalid_argument);
     EXPECT_THROW(rho.applyChannel2q(1, 1, KrausChannel::depolarizing2q(0.1)),
                  std::invalid_argument);
+}
+
+/** Every element of rho, row-major. */
+std::vector<Complex>
+elements(const DensityMatrix &rho)
+{
+    std::vector<Complex> out;
+    for (std::size_t r = 0; r < rho.dim(); ++r)
+        for (std::size_t c = 0; c < rho.dim(); ++c)
+            out.push_back(rho.element(r, c));
+    return out;
+}
+
+TEST(DensityMatrix, ApplyGateRejectsOutOfRangeQubits)
+{
+    DensityMatrix rho(2);
+    rho.applyGate(Gate{GateType::H, {0, 0}});
+    const std::vector<Complex> before = elements(rho);
+    for (const GateType type : {GateType::CX, GateType::CZ, GateType::SWAP}) {
+        EXPECT_THROW(rho.applyGate(Gate{type, {0, 5}}), std::out_of_range)
+            << gateName(type);
+        EXPECT_THROW(rho.applyGate(Gate{type, {2, 0}}), std::out_of_range)
+            << gateName(type);
+        EXPECT_THROW(rho.applyGate(Gate{type, {1, -1}}), std::out_of_range)
+            << gateName(type);
+    }
+    EXPECT_THROW(rho.applyGate(Gate{GateType::H, {2, 0}}), std::out_of_range);
+    EXPECT_EQ(elements(rho), before);
+}
+
+TEST(DensityMatrix, ApplyGateRejectsEqualQubits)
+{
+    // CX(1,1) used to be accepted, and it changed rho.
+    DensityMatrix rho(3);
+    rho.applyGate(Gate{GateType::H, {1, 0}});
+    const std::vector<Complex> before = elements(rho);
+    for (const GateType type : {GateType::CX, GateType::CZ, GateType::SWAP})
+        EXPECT_THROW(rho.applyGate(Gate{type, {1, 1}}), std::invalid_argument)
+            << gateName(type);
+    EXPECT_EQ(elements(rho), before);
 }
 
 TEST(DensityMatrix, ThermalRelaxationMovesTowardGround)

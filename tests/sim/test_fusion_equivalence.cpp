@@ -1,8 +1,10 @@
 /**
  * @file
  * Fused-vs-unfused equivalence: for 50 seeded random circuits over the
- * full gate set, the compiled (fused) execution path must agree with
- * the legacy gate-by-gate path to 1e-12 on both simulators, and the
+ * full gate set (plus five 14-qubit ones, wide enough for 1q gates to
+ * absorb into 2q ops), the compiled (fused) execution path must agree
+ * with the unfused gate-by-gate path (applyGate) to 1e-12 on both
+ * simulators, and the
  * compiled path must itself be bit-identical run-to-run and at every
  * thread count (the kernels are single-threaded pure functions, and the
  * threaded energy estimator builds on exactly that invariant).
@@ -87,22 +89,46 @@ TEST_P(FusionEquivalenceTest, StatevectorFusedMatchesUnfused)
     for (const Gate &g : circuit.gates())
         unfused.applyGate(g);
 
-    // Default policy, plus the aggressive 2q-absorption variant the
-    // Auto width gate would normally hold back on small registers.
-    CompileOptions aggressive;
-    aggressive.absorb2q = CompileOptions::Absorb2q::Always;
-    for (const CompiledCircuit &cc :
-         {CompiledCircuit(circuit), CompiledCircuit(circuit, aggressive)}) {
+    Statevector fused(n);
+    fused.run(CompiledCircuit(circuit));
+    ASSERT_EQ(fused.dim(), unfused.dim());
+    for (std::size_t i = 0; i < fused.dim(); ++i) {
+        EXPECT_NEAR(fused.amplitudes()[i].real(),
+                    unfused.amplitudes()[i].real(), 1e-12)
+            << "amplitude " << i;
+        EXPECT_NEAR(fused.amplitudes()[i].imag(),
+                    unfused.amplitudes()[i].imag(), 1e-12)
+            << "amplitude " << i;
+    }
+}
+
+TEST(FusionEquivalence, WideRegisterAbsorbedMatchesUnfused)
+{
+    // At 14 qubits the compiler absorbs 1q gates into neighbouring
+    // CX/SWAPs as dense 4x4s; those products must agree with the
+    // gate-by-gate path too.
+    const int n = 14;
+    for (int seed = 0; seed < 5; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(53000 + seed));
+        const Circuit circuit = randomCircuit(n, 8 * n + 14, rng);
+        const CompiledCircuit cc(circuit);
+        std::size_t dense2 = 0;
+        for (const CompiledOp &op : cc.ops())
+            dense2 += op.kind == CompiledOpKind::Dense2 ? 1u : 0u;
+        ASSERT_GT(dense2, 0u) << "seed " << seed << ": nothing absorbed";
+
+        Statevector unfused(n);
+        for (const Gate &g : circuit.gates())
+            unfused.applyGate(g);
         Statevector fused(n);
         fused.run(cc);
-        ASSERT_EQ(fused.dim(), unfused.dim());
         for (std::size_t i = 0; i < fused.dim(); ++i) {
-            EXPECT_NEAR(fused.amplitudes()[i].real(),
+            ASSERT_NEAR(fused.amplitudes()[i].real(),
                         unfused.amplitudes()[i].real(), 1e-12)
-                << "amplitude " << i;
-            EXPECT_NEAR(fused.amplitudes()[i].imag(),
+                << "seed " << seed << ", amplitude " << i;
+            ASSERT_NEAR(fused.amplitudes()[i].imag(),
                         unfused.amplitudes()[i].imag(), 1e-12)
-                << "amplitude " << i;
+                << "seed " << seed << ", amplitude " << i;
         }
     }
 }

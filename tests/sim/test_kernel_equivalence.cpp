@@ -152,7 +152,8 @@ expectValueEqual(const std::vector<Complex> &a,
 
 // ---------------------------------------------------------------------
 // Legacy references: verbatim copies of the pre-SIMD kernel loops (see
-// kernels_scalar.cpp and the pre-refactor Statevector::apply* bodies).
+// kernels_scalar.cpp) and of the gate loops Statevector once had. They
+// exist only here now: the simulators apply every gate through kern::.
 // ---------------------------------------------------------------------
 
 void
@@ -475,8 +476,9 @@ INSTANTIATE_TEST_SUITE_P(Random, KernelEquivalenceTest,
                                             ::testing::Range(0, 10)));
 
 // ---------------------------------------------------------------------
-// Whole-circuit differential: compiled-kernel execution vs the legacy
-// gate-by-gate path. Fusion reorders products, so this comparison is
+// Whole-circuit differential: compiled-kernel execution vs the unfused
+// gate-by-gate path (Statevector::applyGate, one dense kernel call per
+// gate). Fusion reorders products, so this comparison is
 // tolerance-bounded — it pins semantics, not bits (the bit-level
 // contract is covered per-kernel above).
 // ---------------------------------------------------------------------

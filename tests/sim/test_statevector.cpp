@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace qismet {
@@ -94,19 +96,54 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NormPreservationTest,
 
 TEST(Statevector, Apply2qMatchesGateFastPath)
 {
-    // CX via the dense 4x4 path must equal the fast-path swap.
+    // applyGate lowers CX and SWAP to the dense 4x4 kernel; the result
+    // must equal the permutation kernels the compiled path uses.
     Rng rng(42);
-    Statevector a(3), b(3);
-    const Circuit prep = randomCircuit(3, 20, rng);
-    a.run(prep);
-    b = a;
+    Statevector a(3);
+    a.run(randomCircuit(3, 20, rng));
 
-    Gate cx;
-    cx.type = GateType::CX;
-    cx.qubits = {2, 0};
-    a.applyGate(cx);
-    b.apply2q(2, 0, cx.matrix());
-    EXPECT_NEAR(a.fidelity(b), 1.0, 1e-12);
+    for (const GateType type : {GateType::CX, GateType::SWAP}) {
+        Statevector dense = a;
+        dense.applyGate(Gate{type, {2, 0}});
+        std::vector<Complex> perm = a.amplitudes();
+        if (type == GateType::CX)
+            kern::applyPermCX(perm, 2, 0);
+        else
+            kern::applyPermSwap(perm, 2, 0);
+        EXPECT_EQ(dense.amplitudes(), perm) << gateName(type);
+    }
+}
+
+TEST(Statevector, ApplyGateRejectsOutOfRangeQubits)
+{
+    // A CX or SWAP with a qubit past the register used to write beyond
+    // the amplitude array, and a CZ silently did nothing.
+    Statevector st(2);
+    st.applyGate(Gate{GateType::H, {0, 0}});
+    const std::vector<Complex> before = st.amplitudes();
+    for (const GateType type : {GateType::CX, GateType::CZ, GateType::SWAP}) {
+        EXPECT_THROW(st.applyGate(Gate{type, {0, 5}}), std::out_of_range)
+            << gateName(type);
+        EXPECT_THROW(st.applyGate(Gate{type, {2, 0}}), std::out_of_range)
+            << gateName(type);
+        EXPECT_THROW(st.applyGate(Gate{type, {1, -1}}), std::out_of_range)
+            << gateName(type);
+    }
+    EXPECT_THROW(st.applyGate(Gate{GateType::H, {2, 0}}), std::out_of_range);
+    EXPECT_THROW(st.applyGate(Gate{GateType::I, {-1, 0}}),
+                 std::out_of_range);
+    EXPECT_EQ(st.amplitudes(), before);
+}
+
+TEST(Statevector, ApplyGateRejectsEqualQubits)
+{
+    Statevector st(3);
+    st.applyGate(Gate{GateType::H, {2, 0}});
+    const std::vector<Complex> before = st.amplitudes();
+    for (const GateType type : {GateType::CX, GateType::CZ, GateType::SWAP})
+        EXPECT_THROW(st.applyGate(Gate{type, {2, 2}}), std::invalid_argument)
+            << gateName(type);
+    EXPECT_EQ(st.amplitudes(), before);
 }
 
 TEST(Statevector, CzIsSymmetric)

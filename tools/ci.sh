@@ -288,15 +288,19 @@ cmake --build build-tsan --target test_serve test_persist test_fault \
     test_serve_chaos_replay -j "$jobs"
 ctest --preset tsan-subsys
 
-stage "kernel + expectation suites under ASan+UBSan and standalone UBSan"
+stage "kernel + expectation + simulator suites under ASan+UBSan and standalone UBSan"
 # The SIMD kernels and the batched-expectation sweep walk amplitude
 # arrays with hand-rolled bit arithmetic and intrinsic loads;
-# ASan/UBSan rerun both batteries against exactly that surface.
+# ASan/UBSan rerun both batteries against exactly that surface. The
+# simulator suite (test_sim) rides along under ASan: the simulators map
+# gate qubits onto kernel strides, so an unchecked qubit index is an
+# out-of-bounds write only ASan sees.
 cmake --preset asan >/dev/null
 cmake --build build-asan --target test_sim_kernels test_pauli_expect \
-    -j "$jobs"
+    test_sim -j "$jobs"
 ctest --preset simkern-asan
 ctest --preset expect-asan
+ctest --preset sim-asan
 cmake --preset ubsan >/dev/null
 cmake --build build-ubsan --target test_sim_kernels test_pauli_expect \
     -j "$jobs"
